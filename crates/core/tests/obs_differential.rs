@@ -76,6 +76,12 @@ fn work_counters_are_thread_invariant_across_all_families() {
             let p = small.clone();
             Box::new(move || drop(JagMOpt::default().partition(&p, 6)))
         }),
+        ("JAG-M-OPT-BEST-MEMO", {
+            // Large enough that later probes reuse stripe counts made by
+            // earlier ones (`core.jag_m.need_reuses`).
+            let p = pfx.clone();
+            Box::new(move || drop(JagMOpt::default().partition(&p, 16)))
+        }),
         ("HIER-RB-LOAD", {
             let p = pfx.clone();
             // Above PARALLEL_PROCS_MIN so the forking recursion engages.
@@ -170,6 +176,24 @@ fn work_counters_are_thread_invariant_across_all_families() {
             opt_spans.3.iter().any(|(p, _, _)| p.contains(path)),
             "span {path} missing from the JAG-M-OPT profile"
         );
+    }
+
+    // The feasibility DP's own counters: every kind of saving must
+    // actually occur on the mid-size JAG-M-OPT run, so the invariance
+    // above covers the run-start scan, the load bound and the need memo.
+    let memo_run = counters_under(7, || drop(JagMOpt::default().partition(&pfx, 16)));
+    for name in [
+        "core.jag_m.feasibility_checks",
+        "core.jag_m.lazy_evals",
+        "core.jag_m.lazy_skips",
+        "core.jag_m.need_reuses",
+    ] {
+        let value = memo_run
+            .0
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, v)| v);
+        assert!(value > 0, "JAG-M-OPT must record {name}");
     }
 
     // Unbounded-cache invariant: the stripe cache never evicts, so the

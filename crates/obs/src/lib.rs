@@ -66,10 +66,16 @@ pub enum Counter {
     StripeCacheEvictions,
     /// `JAG-M-OPT` feasibility probes (one per budget tried).
     JagMFeasibilityChecks,
-    /// `JAG-M-OPT` lazy stripe evaluations actually performed.
+    /// `JAG-M-OPT` greedy stripe counts actually performed.
     JagMLazyEvals,
-    /// `JAG-M-OPT` stripe evaluations skipped by monotonicity pruning.
+    /// `JAG-M-OPT` run-start candidates skipped by a lower bound on
+    /// their need (`⌈load / B⌉`, or a shorter stripe's need), without a
+    /// count or a memo lookup.
     JagMLazySkips,
+    /// `JAG-M-OPT` stripe needs answered by an earlier probe's count:
+    /// exact memo hits plus candidates pruned by a remembered lower
+    /// bound.
+    JagMNeedReuses,
     /// `RECT-NICOL` refinement iterations executed.
     RectNicolRefineIters,
     /// Hierarchical (`HIER-RB`/`HIER-RELAXED`) bipartition nodes visited.
@@ -124,7 +130,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 26;
+pub const COUNTER_COUNT: usize = 27;
 
 impl Counter {
     /// All counters, in stable report order.
@@ -140,6 +146,7 @@ impl Counter {
         Counter::JagMFeasibilityChecks,
         Counter::JagMLazyEvals,
         Counter::JagMLazySkips,
+        Counter::JagMNeedReuses,
         Counter::RectNicolRefineIters,
         Counter::HierBisections,
         Counter::HierOptMemoStates,
@@ -171,6 +178,7 @@ impl Counter {
             Counter::JagMFeasibilityChecks => "core.jag_m.feasibility_checks",
             Counter::JagMLazyEvals => "core.jag_m.lazy_evals",
             Counter::JagMLazySkips => "core.jag_m.lazy_skips",
+            Counter::JagMNeedReuses => "core.jag_m.need_reuses",
             Counter::RectNicolRefineIters => "core.rect_nicol.refine_iters",
             Counter::HierBisections => "core.hier.bisections",
             Counter::HierOptMemoStates => "core.hier_opt.memo_states",

@@ -41,6 +41,8 @@ pub struct SolveScratch {
     jag_f: Vec<usize>,
     /// Jagged feasibility DP: chosen next stripe boundary per position.
     jag_choice: Vec<usize>,
+    /// Jagged feasibility DP: start indices of the runs of equal `f`.
+    jag_runs: Vec<usize>,
 }
 
 /// Clears `buf` for reuse and records whether its capacity already
@@ -68,20 +70,24 @@ impl SolveScratch {
         &mut self.points
     }
 
-    /// Checks out the two jagged-feasibility DP buffers (`f`, `choice`),
-    /// cleared, each with room for `cap` entries. One checkout — the
-    /// pair is counted once.
-    pub fn jag_buffers(&mut self, cap: usize) -> (&mut Vec<usize>, &mut Vec<usize>) {
-        if self.jag_f.capacity() >= cap && self.jag_choice.capacity() >= cap {
+    /// Checks out the three jagged-feasibility DP buffers (`f`,
+    /// `choice`, run starts), cleared, each with room for `cap` entries.
+    /// One checkout — the triple is counted once.
+    pub fn jag_buffers(
+        &mut self,
+        cap: usize,
+    ) -> (&mut Vec<usize>, &mut Vec<usize>, &mut Vec<usize>) {
+        let bufs = [&self.jag_f, &self.jag_choice, &self.jag_runs];
+        if bufs.iter().all(|b| b.capacity() >= cap) {
             rectpart_obs::incr(rectpart_obs::Counter::ScratchReuses);
         } else {
             rectpart_obs::incr(rectpart_obs::Counter::ScratchAllocs);
         }
-        self.jag_f.clear();
-        self.jag_f.reserve(cap);
-        self.jag_choice.clear();
-        self.jag_choice.reserve(cap);
-        (&mut self.jag_f, &mut self.jag_choice)
+        for b in [&mut self.jag_f, &mut self.jag_choice, &mut self.jag_runs] {
+            b.clear();
+            b.reserve(cap);
+        }
+        (&mut self.jag_f, &mut self.jag_choice, &mut self.jag_runs)
     }
 
     /// The jagged `choice` buffer as last filled through
@@ -108,7 +114,7 @@ mod tests {
     #[test]
     fn jag_buffers_round_trip_through_choice() {
         let mut s = SolveScratch::new();
-        let (f, choice) = s.jag_buffers(4);
+        let (f, choice, _) = s.jag_buffers(4);
         f.resize(4, usize::MAX);
         choice.extend_from_slice(&[1, 2, 3, 4]);
         assert_eq!(s.jag_choice(), &[1, 2, 3, 4]);
