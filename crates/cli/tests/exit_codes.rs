@@ -71,6 +71,25 @@ fn invalid_input_exits_three() {
 }
 
 #[test]
+fn bad_cell_exits_three_and_names_its_line_and_field() {
+    // Line 4 of the file (the blank line 2 counts), third field.
+    let input = tmp("badcell.csv");
+    std::fs::write(&input, "1,2,3\n\n4,5,6\n7,8,x9\n").unwrap();
+    let out = rectpart(&["partition", "--input", input.to_str().unwrap(), "-m", "2"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("line 4, field 3"), "{stderr}");
+    assert!(stderr.contains("\"x9\""), "{stderr}");
+    // A ragged row names its line too.
+    std::fs::write(&input, "1,2,3\r\n\r\n4,5\r\n").unwrap();
+    let out = rectpart(&["partition", "--input", input.to_str().unwrap(), "-m", "2"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("line 3"), "{stderr}");
+    std::fs::remove_file(&input).ok();
+}
+
+#[test]
 fn exhausted_budget_exits_four_and_reports_the_ladder() {
     let input = tmp("budget.csv");
     std::fs::write(&input, "1,2,3,4\n5,6,7,8\n9,10,11,12\n13,14,15,16\n").unwrap();
