@@ -112,7 +112,6 @@ fn run_warm(
 /// exported integer leaves.
 const KEYS: &[(&str, &str)] = &[
     ("gamma_builds", "core.gamma_builds"),
-    ("gamma_tile_sweeps", "core.gamma.tile_sweeps"),
     ("jag_m_feasibility_checks", "core.jag_m.feasibility_checks"),
     ("jag_m_lazy_evals", "core.jag_m.lazy_evals"),
     ("nicol_calls", "onedim.nicol_calls"),
@@ -176,10 +175,10 @@ fn serve_series(label: &str, mode: GammaMode, cfg: &PicConfig, instrumented: boo
         warm, cold,
         "{label}: warm engine diverged from cold re-solves"
     );
+    let get = |counters: &[u64], label: &str| {
+        counters[KEYS.iter().position(|&(l, _)| l == label).unwrap()]
+    };
     if instrumented {
-        let get = |counters: &[u64], label: &str| {
-            counters[KEYS.iter().position(|&(l, _)| l == label).unwrap()]
-        };
         assert!(
             get(&warm_counters, "gamma_builds") < get(&cold_counters, "gamma_builds"),
             "{label}: warm path must build strictly fewer Γ tables"
@@ -209,11 +208,20 @@ fn serve_series(label: &str, mode: GammaMode, cfg: &PicConfig, instrumented: boo
         (
             "savings",
             Json::obj(vec![
-                ("gamma_builds", ratio(cold_counters[0], warm_counters[0])),
+                (
+                    "gamma_builds",
+                    ratio(
+                        get(&cold_counters, "gamma_builds"),
+                        get(&warm_counters, "gamma_builds"),
+                    ),
+                ),
                 ("work_units", ratio(cold_work, warm_work)),
                 (
                     "feasibility_checks",
-                    ratio(cold_counters[2], warm_counters[2]),
+                    ratio(
+                        get(&cold_counters, "jag_m_feasibility_checks"),
+                        get(&warm_counters, "jag_m_feasibility_checks"),
+                    ),
                 ),
             ]),
         ),

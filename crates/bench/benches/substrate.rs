@@ -1,23 +1,19 @@
-//! Substrate speed benchmark: blocked vs per-cell-checked Γ
-//! construction, dense vs CSR-like sparse backends, and scratch-arena
+//! Substrate benchmark: the dense Γ build against the per-cell-checked
+//! reference, dense vs CSR-like sparse backends, and scratch-arena
 //! reuse in the DP hot loops, with a machine-readable export.
 //!
-//! Three questions, answered with deterministic obs counters (not wall
+//! Two questions, answered with deterministic obs counters (not wall
 //! clock, so the numbers are comparable across machines):
 //!
-//! 1. How many checked-add operations does the blocked Γ build spend
-//!    against the old per-cell reference build on a 4096×4096 dense
-//!    instance? (The tiling hoists overflow checks to tile boundaries;
-//!    the target is a ≥1.5× reduction, the measured one is ~2000×.)
-//! 2. How much Γ memory does the sparse backend save on a ≥90%-zero
+//! 1. How much Γ memory does the sparse backend save on a ≥90%-zero
 //!    instance? (`gamma_bytes` dense vs sparse; target ≥5×.)
-//! 3. How many buffer allocations do the solver hot loops perform per
+//! 2. How many buffer allocations do the solver hot loops perform per
 //!    solve, and how many are avoided by scratch reuse? (ScratchAllocs
 //!    vs ScratchReuses for JAG-M-HEUR, JAG-M-OPT-BEST and RECT-NICOL
 //!    on a dense and a sparse instance.)
 //!
-//! Wall-clock timings of the same builds ride along via criterion for
-//! local before/after comparisons. Results land in
+//! Wall-clock timings of the reference, dense and sparse builds ride
+//! along via criterion for local before/after comparisons. Results land in
 //! `BENCH_substrate.json` at the workspace root; counter fields require
 //! `--features obs` (the uninstrumented run still writes timings and
 //! memory figures, with `"instrumented": false`).
@@ -54,8 +50,7 @@ fn sparse_matrix(n: usize) -> LoadMatrix {
 
 /// Runs `f` once under a single-thread budget against a freshly reset
 /// recorder and returns the counters named in `keys` (0 when absent or
-/// uninstrumented). Single-threaded so the thread-budget-dependent
-/// `core.gamma.checked_ops` exec stat is reproducible.
+/// uninstrumented).
 fn counted(keys: &[&str], f: &dyn Fn()) -> Vec<u64> {
     let rec = rectpart_obs::Recorder::global();
     rec.reset();
@@ -70,26 +65,6 @@ fn ratio(before: u64, after: u64) -> Json {
     } else {
         (before as f64 / after as f64).to_json()
     }
-}
-
-/// Γ build op counts: per-cell-checked reference vs blocked build.
-fn gamma_ops(matrix: &LoadMatrix, label: &str) -> Json {
-    const OPS: &str = "core.gamma.checked_ops";
-    const SWEEPS: &str = "core.gamma.tile_sweeps";
-    let reference = counted(&[OPS], &|| {
-        drop(PrefixSum2D::try_new_reference(black_box(matrix)).unwrap())
-    })[0];
-    let blocked = counted(&[OPS, SWEEPS], &|| {
-        drop(PrefixSum2D::try_new_with(black_box(matrix), GammaMode::Dense).unwrap())
-    });
-    Json::obj(vec![
-        ("case", label.to_json()),
-        ("cells", (matrix.rows() * matrix.cols()).to_json()),
-        ("reference_checked_ops", reference.to_json()),
-        ("blocked_checked_ops", blocked[0].to_json()),
-        ("blocked_tile_sweeps", blocked[1].to_json()),
-        ("checked_ops_reduction", ratio(reference, blocked[0])),
-    ])
 }
 
 /// Γ memory: dense table bytes vs CSR-like sparse bytes on one matrix.
@@ -142,7 +117,8 @@ fn solver_allocs(algo: &dyn Partitioner, pfx: &PrefixSum2D, m: usize, label: &st
     ])
 }
 
-/// Wall-clock timings of the three Γ builds at a single-thread budget.
+/// Wall-clock timings of the three Γ builds at a single-thread budget
+/// (the reference, the dense build and the sparse build).
 fn bench_gamma_builds(c: &mut Criterion, dense: &LoadMatrix, sparse: &LoadMatrix) {
     let mut g = c.benchmark_group("substrate-gamma");
     g.sample_size(10);
@@ -153,7 +129,7 @@ fn bench_gamma_builds(c: &mut Criterion, dense: &LoadMatrix, sparse: &LoadMatrix
             })
         })
     });
-    g.bench_function(format!("blocked/{DENSE_N}x{DENSE_N}"), |b| {
+    g.bench_function(format!("dense/{DENSE_N}x{DENSE_N}"), |b| {
         b.iter(|| {
             with_threads(1, || {
                 PrefixSum2D::try_new_with(black_box(dense), GammaMode::Dense).unwrap()
@@ -180,10 +156,6 @@ fn main() {
     let sparse = sparse_matrix(DENSE_N);
     bench_gamma_builds(&mut c, &dense, &sparse);
 
-    let gamma_ops_entries = vec![
-        gamma_ops(&dense, &format!("dense/{DENSE_N}x{DENSE_N}")),
-        gamma_ops(&sparse, &format!("sparse/{DENSE_N}x{DENSE_N}-92pct-zero")),
-    ];
     let gamma_memory_entries = vec![
         gamma_memory(&sparse, &format!("sparse/{DENSE_N}x{DENSE_N}-92pct-zero")),
         gamma_memory(&dense, &format!("dense/{DENSE_N}x{DENSE_N}")),
@@ -232,14 +204,13 @@ fn main() {
         ("instrumented", instrumented.to_json()),
         (
             "note",
-            "op counts and allocation tallies are deterministic obs counters \
+            "run counts and allocation tallies are deterministic obs counters \
              measured under a single-thread budget (identical on every host); \
              timings are wall clock and only comparable on the same machine — \
              on a single-core host read them against host_cores. Counter \
              fields are zero unless built with --features obs."
                 .to_json(),
         ),
-        ("gamma_build_ops", Json::Arr(gamma_ops_entries)),
         ("gamma_memory", Json::Arr(gamma_memory_entries)),
         ("solver_allocations_per_solve", Json::Arr(solver_entries)),
         ("timings", Json::Arr(timings)),

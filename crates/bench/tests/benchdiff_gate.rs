@@ -1,5 +1,5 @@
 //! Acceptance contract of the `benchdiff` binary: self-diff of a real
-//! committed baseline exits 0; a +10% injected op-count regression
+//! committed baseline exits 0; a +10% injected counter regression
 //! exits nonzero; garbage input exits 2.
 
 use std::path::PathBuf;
@@ -26,29 +26,6 @@ fn baseline_path() -> PathBuf {
 /// The committed resident-engine baseline at the workspace root.
 fn engine_baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
-}
-
-/// Multiplies every integer leaf of every `*_ops`/`*_ops`-like counter
-/// by `pct` percent. Returns how many leaves were inflated.
-fn inflate_ops(json: &mut Json, pct: u64) -> usize {
-    match json {
-        Json::Obj(fields) => {
-            let mut n = 0;
-            for (key, value) in fields.iter_mut() {
-                if let Json::UInt(u) = value {
-                    if key.ends_with("_ops") && !key.ends_with("_ns") {
-                        *u += (*u * pct) / 100;
-                        n += 1;
-                    }
-                } else {
-                    n += inflate_ops(value, pct);
-                }
-            }
-            n
-        }
-        Json::Arr(items) => items.iter_mut().map(|j| inflate_ops(j, pct)).sum(),
-        _ => 0,
-    }
 }
 
 #[test]
@@ -146,8 +123,11 @@ fn injected_engine_work_regression_exits_nonzero() {
 fn injected_ten_percent_op_regression_exits_nonzero() {
     let baseline = baseline_path();
     let mut doc = rectpart_json::parse(&std::fs::read_to_string(&baseline).unwrap()).unwrap();
-    let inflated = inflate_ops(&mut doc, 10);
-    assert!(inflated > 0, "baseline must contain *_ops counters");
+    let inflated = inflate_key(&mut doc, "scratch_allocs", 10);
+    assert!(
+        inflated > 0,
+        "baseline must contain scratch_allocs counters"
+    );
     let regressed = tmp("regressed.json");
     std::fs::write(&regressed, doc.to_string_pretty()).unwrap();
     // +10% trips the default 2% gate ...
@@ -160,7 +140,7 @@ fn injected_ten_percent_op_regression_exits_nonzero() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("regressed"), "{stderr}");
-    assert!(stderr.contains("_ops"), "{stderr}");
+    assert!(stderr.contains("scratch_allocs"), "{stderr}");
     // ... and passes a gate slacker than the injection.
     let out = benchdiff(&[
         baseline.to_str().unwrap(),

@@ -12,10 +12,10 @@
 //! are answered in O(1) from dense per-row / per-column prefix borders.
 //!
 //! Queries return **bit-identical** values to the dense backend: both
-//! compute exact `u64` sums of the same non-negative cells. Construction
-//! surfaces overflow as [`RectpartError::Overflow`] under exactly the
-//! same condition as the dense path (the grand total reaching 2⁶⁴), and
-//! honors the same fault-injection gate.
+//! compute exact `u64` sums of the same non-negative cells. The `u32`
+//! run indices cap a sparse matrix below 2³² cells, too few for the
+//! grand total to reach 2⁶⁴, so no sum here can overflow; construction
+//! honors the same fault-injection gate as the dense path.
 
 use crate::error::RectpartError;
 use crate::matrix::LoadMatrix;
@@ -64,11 +64,11 @@ pub struct SparsePrefixSum {
 }
 
 impl SparsePrefixSum {
-    /// Builds the sparse representation, surfacing accumulation overflow
-    /// as [`RectpartError::Overflow`] exactly like the dense
-    /// [`PrefixSum2D`](crate::PrefixSum2D) path. Also errs on matrices
-    /// whose cell count does not fit the `u32` run indices (≥ 2³² cells
-    /// — build Γ dense instead; 4-byte indices buy nothing there).
+    /// Builds the sparse representation. Errs with
+    /// [`RectpartError::Overflow`] on matrices whose cell count does not
+    /// fit the `u32` run indices (≥ 2³² cells — build Γ dense instead;
+    /// 4-byte indices buy nothing there), and under the fault-injection
+    /// gate like the dense [`PrefixSum2D`](crate::PrefixSum2D) path.
     ///
     /// Construction is a single serial O(cells) scan touching O(nnz)
     /// memory, so the result is trivially identical at any thread count.
@@ -93,6 +93,10 @@ impl SparsePrefixSum {
     /// The scan proper; also used by the [`PrefixSum2D`] facade dispatch
     /// (which performs its own instrumentation and fault gating).
     ///
+    /// Every sum is bounded by the grand total, and an indexable shape
+    /// has fewer than 2³² + 1 cells, below the Γ overflow bound
+    /// (`prefix::may_overflow`), so the adds are plain.
+    ///
     /// [`PrefixSum2D`]: crate::PrefixSum2D
     pub(crate) fn build(a: &LoadMatrix) -> Result<Self, RectpartError> {
         let rows = a.rows();
@@ -100,6 +104,7 @@ impl SparsePrefixSum {
         if !Self::indexable(rows, cols) {
             return Err(RectpartError::Overflow);
         }
+        debug_assert!(!crate::prefix::may_overflow(rows, cols));
         let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0u32);
         let mut run_col0: Vec<u32> = Vec::new();
@@ -115,7 +120,8 @@ impl SparsePrefixSum {
             let src = a.row(r);
             let mut row_sum = 0u64;
             let mut in_run = false;
-            for (c, &v) in src.iter().enumerate() {
+            // Per-column totals (`col_pfx[c + 1]`) feed the full-height border.
+            for ((c, &v), col) in src.iter().enumerate().zip(col_pfx.iter_mut().skip(1)) {
                 if v == 0 {
                     in_run = false;
                     continue;
@@ -127,29 +133,16 @@ impl SparsePrefixSum {
                     run_val0.push(vals.len() as u32);
                     in_run = true;
                 }
-                row_sum = row_sum
-                    .checked_add(v as u64)
-                    .ok_or(RectpartError::Overflow)?;
+                row_sum += v as u64;
                 vals.push(row_sum);
-                // Per-column totals feed the full-height border.
-                col_pfx[c + 1] = col_pfx[c + 1]
-                    .checked_add(v as u64)
-                    .ok_or(RectpartError::Overflow)?;
+                *col += v as u64;
             }
             row_ptr.push(run_col0.len() as u32);
-            running = running
-                .checked_add(row_sum)
-                .ok_or(RectpartError::Overflow)?;
+            running += row_sum;
             row_pfx.push(running);
         }
         run_val0.push(vals.len() as u32);
-        // Column totals → full-height prefix Γ[rows][c].
-        for c in 1..=cols {
-            let prev = col_pfx[c - 1];
-            col_pfx[c] = prev
-                .checked_add(col_pfx[c])
-                .ok_or(RectpartError::Overflow)?;
-        }
+        accumulate(&mut col_pfx);
         let cells = rows * cols;
         let nnz = vals.len();
         let min_cell = if cells == 0 || nnz < cells {
@@ -189,16 +182,15 @@ impl SparsePrefixSum {
     ///
     /// Charges [`SparseGammaRuns`](rectpart_obs::Counter::SparseGammaRuns)
     /// only for the rescanned rows' runs — spliced runs are reused, not
-    /// rebuilt. The caller must have pre-checked that the new grand
-    /// total fits `u64`; every internal sum is bounded by it, so the
-    /// checked adds below cannot fail after that check.
+    /// rebuilt. The shape was indexable at [`build`](Self::build), so the
+    /// adds are plain for the same reason as there.
     pub(crate) fn patched_rows(
         &self,
         a: &LoadMatrix,
         changed: &[usize],
         max_cell: u32,
         min_cell: u32,
-    ) -> Result<Self, RectpartError> {
+    ) -> Self {
         let rows = self.rows;
         let cols = self.cols;
         debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
@@ -221,7 +213,7 @@ impl SparsePrefixSum {
                 let src = a.row(r);
                 let mut row_sum = 0u64;
                 let mut in_run = false;
-                for (c, &v) in src.iter().enumerate() {
+                for ((c, &v), col) in src.iter().enumerate().zip(col_pfx.iter_mut().skip(1)) {
                     if v == 0 {
                         in_run = false;
                         continue;
@@ -232,17 +224,11 @@ impl SparsePrefixSum {
                         in_run = true;
                         new_runs += 1;
                     }
-                    row_sum = row_sum
-                        .checked_add(v as u64)
-                        .ok_or(RectpartError::Overflow)?;
+                    row_sum += v as u64;
                     vals.push(row_sum);
-                    col_pfx[c + 1] = col_pfx[c + 1]
-                        .checked_add(v as u64)
-                        .ok_or(RectpartError::Overflow)?;
+                    *col += v as u64;
                 }
-                running = running
-                    .checked_add(row_sum)
-                    .ok_or(RectpartError::Overflow)?;
+                running += row_sum;
             } else {
                 // Splice the old row's runs; cell values fall out of
                 // within-row prefix differences for the column border.
@@ -259,28 +245,19 @@ impl SparsePrefixSum {
                     for (j, &pv) in self.vals[v0..v1].iter().enumerate() {
                         let cell = pv - prev;
                         prev = pv;
-                        col_pfx[c0 + j + 1] = col_pfx[c0 + j + 1]
-                            .checked_add(cell)
-                            .ok_or(RectpartError::Overflow)?;
+                        col_pfx[c0 + j + 1] += cell;
                     }
                 }
                 let row_sum = self.row_pfx[r + 1] - self.row_pfx[r];
-                running = running
-                    .checked_add(row_sum)
-                    .ok_or(RectpartError::Overflow)?;
+                running += row_sum;
             }
             row_ptr.push(run_col0.len() as u32);
             row_pfx.push(running);
         }
         run_val0.push(vals.len() as u32);
-        for c in 1..=cols {
-            let prev = col_pfx[c - 1];
-            col_pfx[c] = prev
-                .checked_add(col_pfx[c])
-                .ok_or(RectpartError::Overflow)?;
-        }
+        accumulate(&mut col_pfx);
         rectpart_obs::add(rectpart_obs::Counter::SparseGammaRuns, new_runs);
-        Ok(Self {
+        Self {
             rows,
             cols,
             row_ptr,
@@ -292,7 +269,7 @@ impl SparsePrefixSum {
             total: running,
             max_cell,
             min_cell,
-        })
+        }
     }
 
     /// The raw CSR arrays, for bit-identity assertions in tests.
@@ -386,6 +363,16 @@ impl SparsePrefixSum {
             + self.vals.len() * 8
             + self.row_pfx.len() * 8
             + self.col_pfx.len() * 8
+    }
+}
+
+/// Column totals → the full-height prefix `Γ[rows][c]`, in place
+/// (`col_pfx[0]` is the zero border).
+fn accumulate(col_pfx: &mut [u64]) {
+    let mut acc = 0u64;
+    for x in col_pfx {
+        acc += *x;
+        *x = acc;
     }
 }
 

@@ -229,8 +229,8 @@ fn sparse_backend_solutions_are_bit_identical_to_dense() {
 #[test]
 fn parallelism_config_matches_with_threads() {
     let mat = random_matrix(300, 257, 9, false);
-    let a = PrefixSum2D::with_config(&mat, rectpart_core::ParallelismConfig::serial());
-    let b = PrefixSum2D::with_config(&mat, rectpart_core::ParallelismConfig::threads(4));
+    let a = rectpart_core::ParallelismConfig::serial().run(|| PrefixSum2D::new(&mat));
+    let b = rectpart_core::ParallelismConfig::threads(4).run(|| PrefixSum2D::new(&mat));
     assert_eq!(a.total(), b.total());
     for r in [0, 17, 299] {
         assert_eq!(a.load4(0, r + 1, 0, 257), b.load4(0, r + 1, 0, 257));

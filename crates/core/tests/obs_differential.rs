@@ -217,10 +217,9 @@ fn work_counters_are_thread_invariant_across_all_families() {
         "the stripe cache is unbounded: evictions must stay 0 by construction"
     );
 
-    // The substrate counters introduced with the blocked/sparse Γ
-    // builds and the scratch arena are work counters too: they must be
-    // present (the paths really ran) on top of the generic invariance
-    // proven above.
+    // The substrate counters of the dense/sparse Γ builds and the
+    // scratch arena are work counters too: they must be present (the
+    // paths really ran) on top of the generic invariance proven above.
     let get = |view: &rectpart_obs::DeterministicView, name: &str| {
         view.0
             .iter()
@@ -231,9 +230,10 @@ fn work_counters_are_thread_invariant_across_all_families() {
     let dense_build = counters_under(1, || {
         drop(PrefixSum2D::new(&random_matrix(300, 260, 3, false)))
     });
-    assert!(
-        get(&dense_build, "core.gamma.tile_sweeps") > 0,
-        "blocked dense build must record tile sweeps"
+    assert_eq!(
+        get(&dense_build, "core.gamma_builds"),
+        1,
+        "a dense build must record one Γ build"
     );
     let mut rng = StdRng::seed_from_u64(13);
     let sparse_mat = LoadMatrix::from_fn(120, 95, |_, _| {

@@ -63,7 +63,7 @@ const COPY_FAMILY: [&str; 5] = [
 
 /// Parallel fan-out entry points: a guard held across any of these
 /// crosses a `crates/parallel` join boundary (L8).
-const FANOUT_CALLS: [&str; 9] = [
+const FANOUT_CALLS: [&str; 8] = [
     "rectpart_parallel::join(",
     "parallel::join(",
     "map_range(",
@@ -71,7 +71,6 @@ const FANOUT_CALLS: [&str; 9] = [
     "flat_map_slice(",
     "for_each_indexed_mut(",
     "map_chunks(",
-    "map_chunks_mut(",
     "chunked_reduce(",
 ];
 

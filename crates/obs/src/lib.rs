@@ -85,12 +85,6 @@ pub enum Counter {
     HierOptMemoStates,
     /// `PrefixSum2D` (Γ) constructions.
     GammaBuilds,
-    /// Column-tile sweeps of the blocked dense Γ construction. Charged as
-    /// `rows · ⌈cols/TILE⌉` per dense build — a pure function of the
-    /// matrix shape, so the serial and parallel paths (which tile their
-    /// row-prefix pass identically) report the same value at any thread
-    /// count. Sparse builds charge 0 (they are not tiled).
-    GammaTileSweeps,
     /// Nonzero runs stored by a `SparsePrefixSum` build — a pure function
     /// of the input matrix (one per maximal run of consecutive nonzero
     /// cells in a row). Dense builds charge 0.
@@ -130,7 +124,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 27;
+pub const COUNTER_COUNT: usize = 26;
 
 impl Counter {
     /// All counters, in stable report order.
@@ -151,7 +145,6 @@ impl Counter {
         Counter::HierBisections,
         Counter::HierOptMemoStates,
         Counter::GammaBuilds,
-        Counter::GammaTileSweeps,
         Counter::SparseGammaRuns,
         Counter::ScratchAllocs,
         Counter::ScratchReuses,
@@ -183,7 +176,6 @@ impl Counter {
             Counter::HierBisections => "core.hier.bisections",
             Counter::HierOptMemoStates => "core.hier_opt.memo_states",
             Counter::GammaBuilds => "core.gamma_builds",
-            Counter::GammaTileSweeps => "core.gamma.tile_sweeps",
             Counter::SparseGammaRuns => "core.gamma.sparse_runs",
             Counter::ScratchAllocs => "onedim.scratch.allocs",
             Counter::ScratchReuses => "onedim.scratch.reuses",
@@ -219,18 +211,10 @@ pub enum ExecStat {
     WorkerPanicsCaught,
     /// Units re-executed sequentially after a caught worker panic.
     PanicRetries,
-    /// Overflow-guarded accumulation steps performed while building Γ
-    /// (the before/after metric of the blocked construction: the
-    /// reference build charges two per cell, the blocked build only its
-    /// hoisted per-tile boundary checks). An exec stat, not a
-    /// [`Counter`]: the serial and parallel constructions perform
-    /// different numbers of checks for the same input, and which one runs
-    /// is decided by the thread budget.
-    GammaCheckedOps,
 }
 
 /// Number of [`ExecStat`] variants.
-pub const EXEC_STAT_COUNT: usize = 8;
+pub const EXEC_STAT_COUNT: usize = 7;
 
 impl ExecStat {
     /// All execution stats, in stable report order.
@@ -242,7 +226,6 @@ impl ExecStat {
         ExecStat::JoinWaitNs,
         ExecStat::WorkerPanicsCaught,
         ExecStat::PanicRetries,
-        ExecStat::GammaCheckedOps,
     ];
 
     /// Dotted identifier used as the JSON key.
@@ -255,7 +238,6 @@ impl ExecStat {
             ExecStat::JoinWaitNs => "parallel.join_wait_ns",
             ExecStat::WorkerPanicsCaught => "parallel.worker_panics_caught",
             ExecStat::PanicRetries => "parallel.panic_retries",
-            ExecStat::GammaCheckedOps => "core.gamma.checked_ops",
         }
     }
 }

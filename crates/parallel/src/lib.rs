@@ -12,7 +12,7 @@
 //! pool, no work stealing). Each operation statically splits its index
 //! range into one contiguous block per worker. That is cheap to reason
 //! about and cheap to spawn at the coarse granularities the partitioners
-//! need (whole rows of Γ, whole stripes of a cut vector); it does not
+//! need (whole stripes of a cut vector, whole subtrees); it does not
 //! try to load-balance skewed per-item costs.
 //!
 //! Thread-count resolution, highest priority first:
@@ -373,91 +373,6 @@ where
     }
 }
 
-/// Mutable-chunk map: splits `items` into `⌈len / chunk⌉` fixed-size
-/// chunks, applies `f(chunk_index, &mut chunk)` to each in parallel, and
-/// returns the per-chunk results in chunk order. The decomposition is
-/// identical at every thread count.
-pub fn map_chunks_mut<T, R, F>(items: &mut [T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    rectpart_obs::exec_add(rectpart_obs::ExecStat::ParallelOps, 1);
-    let n = items.len();
-    let n_chunks = n.div_ceil(chunk);
-    let threads = current_threads();
-    if threads < 2 || n_chunks < 2 {
-        return items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, block)| f(i, block))
-            .collect();
-    }
-    #[cfg(feature = "threads")]
-    {
-        let workers = threads.min(n_chunks);
-        rectpart_obs::exec_add(rectpart_obs::ExecStat::TasksSpawned, workers as u64);
-        let f = &f;
-        let span_ctx = rectpart_obs::span::fork_context();
-        let span_ctx = &span_ctx;
-        let mut blocks: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let mut rest = items;
-            let mut chunk_offset = 0;
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                // Worker w owns chunks [w*n_chunks/workers, (w+1)*n_chunks/workers).
-                // lint:allow(panic-reach) -- loop over 0..workers: workers >= 1
-                let hi_chunk = (w + 1) * n_chunks / workers;
-                let hi_elem = (hi_chunk * chunk).min(n);
-                let lo_elem = (chunk_offset * chunk).min(n);
-                // lint:allow(panic-reach) -- the per-worker element blocks
-                // partition 0..n, so hi_elem - lo_elem <= rest.len()
-                let (block, tail) = rest.split_at_mut(hi_elem - lo_elem);
-                rest = tail;
-                let base = chunk_offset;
-                chunk_offset = hi_chunk;
-                handles.push(scope.spawn(move || {
-                    let _guard = ScopedGuard::set(1);
-                    let _adopt = rectpart_obs::span::adopt(span_ctx);
-                    let busy = rectpart_obs::StopWatch::start();
-                    let out = block
-                        .chunks_mut(chunk)
-                        .enumerate()
-                        .map(|(i, c)| f(base + i, c))
-                        .collect::<Vec<R>>();
-                    busy.stop(rectpart_obs::ExecStat::WorkerBusyNs);
-                    out
-                }));
-            }
-            let wait = rectpart_obs::StopWatch::start();
-            let blocks: Vec<Vec<R>> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect();
-            wait.stop(rectpart_obs::ExecStat::JoinWaitNs);
-            blocks
-        });
-        let mut out = Vec::with_capacity(n_chunks);
-        for block in &mut blocks {
-            out.append(block);
-        }
-        out
-    }
-    #[cfg(not(feature = "threads"))]
-    {
-        items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, block)| f(i, block))
-            .collect()
-    }
-}
-
 /// Splits `items` into `⌈len / chunk⌉` fixed-size chunks, maps each with
 /// `f(chunk_index, chunk)` in parallel, and returns the per-chunk
 /// results in chunk order. The chunk decomposition is identical at
@@ -568,25 +483,6 @@ mod tests {
                 )
             });
             assert_eq!(got, serial);
-        }
-    }
-
-    #[test]
-    fn map_chunks_mut_matches_serial() {
-        let expect: Vec<usize> = (0..11).collect(); // ceil(101/10) chunks
-        for t in [1, 2, 4, 9] {
-            let mut v = vec![1u64; 101];
-            let sums = with_threads(t, || {
-                map_chunks_mut(&mut v, 10, |i, c| {
-                    for x in c.iter_mut() {
-                        *x += i as u64;
-                    }
-                    i
-                })
-            });
-            assert_eq!(sums, expect, "threads = {t}");
-            // Chunk i (elements 10i..10i+10) got +i.
-            assert!(v.iter().enumerate().all(|(j, &x)| x == 1 + (j / 10) as u64));
         }
     }
 
